@@ -84,14 +84,7 @@ pub(crate) fn execute(
     // point. A probe therefore only needs the cell trees whose cells can
     // contain the home point of a qualifying rectangle — a handful of
     // cells instead of the whole forest (the dominant cost at scale).
-    let reach: Vec<(f64, f64)> = stores
-        .iter()
-        .map(|s| {
-            s.iter().fold((0.0f64, 0.0f64), |(l, b), (r, _)| {
-                (l.max(r.l()), b.max(r.b()))
-            })
-        })
-        .collect();
+    let reach: Vec<(f64, f64)> = stores.iter().map(|s| s.max_extent()).collect();
     let (x0, xn) = grid.x_range();
     let (y0, yn) = grid.y_range();
     let (cols, rows) = (grid.cols(), grid.rows());

@@ -15,6 +15,10 @@
 //! decisions can be pinned in golden tests and cache keys can rely on the
 //! same query always resolving to the same concrete algorithm.
 //!
+//! Nothing is cached between plans: each plan redraws its samples and
+//! counts each condition's selectivity once, by a plane sweep over the
+//! two samples ([`crate::planner`]) rather than all `sample²` pairs.
+//!
 //! # Cost model
 //!
 //! For each candidate the model estimates, in units of *records*:
@@ -42,15 +46,10 @@
 //! `auto` lands within ~15% of the best manual choice on every Table 2
 //! row of *this* implementation.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
 use mwsj_geom::Rect;
 use mwsj_partition::Grid;
 use mwsj_query::{replication_bounds, Query, Triple};
-use mwsj_store::{dataset_fingerprint, StoredDataset};
-use rand::rngs::StdRng;
-use rand::{seq::SliceRandom, SeedableRng};
+use mwsj_store::StoredDataset;
 
 use crate::algorithms::hypercube::derive_shares;
 use crate::algorithms::{max_diagonal, Algorithm};
@@ -65,8 +64,9 @@ const PLAN_SEED: u64 = 0xC0_57;
 /// and the cascade's cost hinges on pairwise selectivities estimated from
 /// `sample²` pairs — at Table 2 densities a 200-rect sample expects only a
 /// handful of matches, and that Poisson noise is enough to flip the
-/// cascade/C-Rep-L decision. 600 rects per relation keeps sampling cheap
-/// (sub-millisecond) while cutting the estimate's relative error ~3x.
+/// cascade/C-Rep-L decision. 600 rects per relation cuts the estimate's
+/// relative error ~3x; the plane-sweep estimator keeps the larger sample
+/// from costing `sample²` predicate tests per condition.
 const PLAN_SAMPLE: usize = 600;
 
 /// Cost charged per map-reduce round, in record units.
@@ -77,77 +77,6 @@ const DFS_WEIGHT: f64 = 3.0;
 
 /// Cost per unfiltered candidate pair at a hypercube reducer.
 const PAIR_WEIGHT: f64 = 0.02;
-
-/// Entries kept in the planning-sample cache before it is cleared. Plans
-/// are cheap relative to joins; the cache only needs to absorb the common
-/// case of the same datasets being planned over and over (a server
-/// answering repeated `auto`/`explain` calls), not act as a real LRU.
-const SAMPLE_CACHE_CAP: usize = 64;
-
-/// Tag words separating the two sampling procedures in the cache key:
-/// in-memory relations sample by input order, stored datasets by storage
-/// (leaf-pack) order, so identical data yields different (equally valid)
-/// samples on the two paths and the entries must not alias.
-const SAMPLES_IN_MEMORY: u64 = 0;
-const SAMPLES_STORED: u64 = 1;
-
-/// Process-wide cache of the seeded 600-rect planning samples, keyed by
-/// the ordered per-relation dataset fingerprints. Sampling shuffles an
-/// index vector per relation (O(n) work per plan); a server resolving
-/// `auto` or answering `explain` for the same bound datasets repeats that
-/// on every call without this. Caching the *sampled output* keyed by
-/// content fingerprints is bit-transparent: same datasets, same samples,
-/// same plan — the golden planner pins cannot observe the cache.
-type SampleCache = Mutex<HashMap<Vec<u64>, Arc<Vec<Vec<Rect>>>>>;
-
-fn sample_cache() -> &'static SampleCache {
-    static CACHE: OnceLock<SampleCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn cached(key: Vec<u64>, build: impl FnOnce() -> Vec<Vec<Rect>>) -> Arc<Vec<Vec<Rect>>> {
-    if let Some(hit) = sample_cache().lock().expect("sample cache").get(&key) {
-        return Arc::clone(hit);
-    }
-    let samples = Arc::new(build());
-    let mut cache = sample_cache().lock().expect("sample cache");
-    if cache.len() >= SAMPLE_CACHE_CAP {
-        cache.clear();
-    }
-    cache
-        .entry(key)
-        .or_insert_with(|| Arc::clone(&samples))
-        .clone()
-}
-
-fn cached_samples(relations: &[&[Rect]]) -> Arc<Vec<Vec<Rect>>> {
-    let mut key = Vec::with_capacity(relations.len() + 1);
-    key.push(SAMPLES_IN_MEMORY);
-    key.extend(relations.iter().map(|r| dataset_fingerprint(r)));
-    cached(key, || sample_relations(relations, PLAN_SAMPLE, PLAN_SEED))
-}
-
-/// Like [`cached_samples`] over stored datasets: a seeded uniform sample
-/// without replacement, drawn by *storage* position so no relation is
-/// ever materialized. One shared RNG across relations, mirroring
-/// [`sample_relations`].
-fn cached_stored_samples(stores: &[&StoredDataset]) -> Arc<Vec<Vec<Rect>>> {
-    let mut key = Vec::with_capacity(stores.len() + 1);
-    key.push(SAMPLES_STORED);
-    key.extend(stores.iter().map(|s| s.fingerprint()));
-    cached(key, || {
-        let mut rng = StdRng::seed_from_u64(PLAN_SEED);
-        stores
-            .iter()
-            .map(|s| {
-                let mut idx: Vec<usize> = (0..s.record_count() as usize).collect();
-                idx.shuffle(&mut rng);
-                idx.truncate(PLAN_SAMPLE);
-                idx.into_iter().map(|i| s.nth_rect(i)).collect()
-            })
-            .collect()
-    })
-}
 
 /// The estimated cost breakdown of one candidate algorithm.
 #[derive(Debug, Clone)]
@@ -212,14 +141,8 @@ impl Plan {
         ));
         match &self.shares {
             Some(shares) => {
-                s.push('[');
-                for (i, sh) in shares.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&sh.to_string());
-                }
-                s.push(']');
+                let shares: Vec<String> = shares.iter().map(u32::to_string).collect();
+                s.push_str(&format!("[{}]", shares.join(",")));
             }
             None => s.push_str("null"),
         }
@@ -311,38 +234,31 @@ fn relation_stats(
                 }
             }
             let count = sample.len() as f64;
+            let mean_marked = |sum: f64| if marked > 0 { sum / marked as f64 } else { 1.0 };
             RelationStats {
                 n,
                 q4: q4 / count,
                 split: split / count,
                 marked: marked as f64 / count,
-                q4_marked: if marked > 0 {
-                    q4_m / marked as f64
-                } else {
-                    1.0
-                },
-                q4_bounded_marked: if marked > 0 {
-                    q4b_m / marked as f64
-                } else {
-                    1.0
-                },
+                q4_marked: mean_marked(q4_m),
+                q4_bounded_marked: mean_marked(q4b_m),
             }
         })
         .collect()
 }
 
 /// Estimated communication and DFS volume of the 2-way cascade in the
-/// query's (unreordered) condition order, from sampled selectivities:
+/// query's (unreordered) condition order, from the sampled selectivities
+/// `sels` (one per condition, in query order):
 /// each stage shuffles the previous intermediate plus the newly-bound
 /// base relation and materializes its output on the DFS for the next.
-fn cascade_cost(query: &Query, sizes: &[f64], samples: &[Vec<Rect>]) -> CandidateCost {
+fn cascade_cost(query: &Query, sizes: &[f64], sels: &[f64]) -> CandidateCost {
     let triples = query.triples();
     let mut bound = vec![false; query.num_relations()];
     let mut comm = 0.0;
     let mut dfs = 0.0;
     let mut intermediate = 0.0;
-    for (stage, t) in triples.iter().enumerate() {
-        let sel = estimate_selectivity(t, samples);
+    for (stage, (t, &sel)) in triples.iter().zip(sels).enumerate() {
         let (l, r) = (t.left.index(), t.right.index());
         let nl = sizes[l];
         let nr = sizes[r];
@@ -406,17 +322,11 @@ fn hypercube_pairs(triples: &[Triple], sizes: &[f64], shares: &[u32]) -> f64 {
 #[must_use]
 pub fn plan(query: &Query, relations: &[&[Rect]], grid: &Grid, reducers: u32) -> Plan {
     assert_eq!(relations.len(), query.num_relations());
-    let samples = cached_samples(relations);
+    let lens = relations.iter().map(|r| r.len());
+    let samples = sample_relations(lens, PLAN_SAMPLE, PLAN_SEED, |r, i| relations[r][i]);
     let sizes: Vec<f64> = relations.iter().map(|r| r.len() as f64).collect();
-    plan_from_stats(
-        query,
-        &sizes,
-        &samples,
-        max_diagonal(relations),
-        grid,
-        reducers,
-        false,
-    )
+    let d_max = max_diagonal(relations);
+    plan_from_stats(query, &sizes, &samples, d_max, grid, reducers, false)
 }
 
 /// Builds the costed plan for a query over *stored* datasets: the five
@@ -432,13 +342,11 @@ pub fn plan(query: &Query, relations: &[&[Rect]], grid: &Grid, reducers: u32) ->
 #[must_use]
 pub fn plan_stored(query: &Query, stores: &[&StoredDataset], grid: &Grid, reducers: u32) -> Plan {
     assert_eq!(stores.len(), query.num_relations());
-    let samples = cached_stored_samples(stores);
+    // Sampled by storage (leaf-pack) position: nothing is materialized.
+    let lens = stores.iter().map(|s| s.record_count() as usize);
+    let samples = sample_relations(lens, PLAN_SAMPLE, PLAN_SEED, |r, i| stores[r].nth_rect(i));
     let sizes: Vec<f64> = stores.iter().map(|s| s.record_count() as f64).collect();
-    let max_diag = stores
-        .iter()
-        .flat_map(|s| s.iter())
-        .map(|(r, _)| r.diagonal())
-        .fold(0.0, f64::max);
+    let max_diag = stores.iter().map(|s| s.max_diagonal()).fold(0.0, f64::max);
     plan_from_stats(query, &sizes, &samples, max_diag, grid, reducers, true)
 }
 
@@ -460,6 +368,11 @@ fn plan_from_stats(
         .map(|b| b * std::f64::consts::SQRT_2)
         .collect();
     let stats = relation_stats(sizes, samples, grid, &bounds, d);
+    let sels: Vec<f64> = query
+        .triples()
+        .iter()
+        .map(|t| estimate_selectivity(t, samples))
+        .collect();
     let total: f64 = sizes.iter().sum();
 
     // All-Replicate: one round, every rectangle shuffled q4-fold.
@@ -490,7 +403,7 @@ fn plan_from_stats(
     let pairs = hypercube_pairs(query.triples(), sizes, &shares);
 
     let mut candidates = vec![
-        cascade_cost(query, sizes, samples),
+        cascade_cost(query, sizes, &sels),
         CandidateCost::new(Algorithm::AllReplicate, 1, all_rep_comm, 0.0, 0.0),
         CandidateCost::new(
             Algorithm::ControlledReplicate,
@@ -515,9 +428,8 @@ fn plan_from_stats(
         let matched: f64 = query
             .triples()
             .iter()
-            .map(|t| {
-                estimate_selectivity(t, samples) * sizes[t.left.index()] * sizes[t.right.index()]
-            })
+            .zip(&sels)
+            .map(|(t, sel)| sel * sizes[t.left.index()] * sizes[t.right.index()])
             .sum();
         candidates.push(CandidateCost::new(Algorithm::MapSide, 1, 0.0, 0.0, matched));
     }
@@ -604,7 +516,7 @@ mod tests {
         let p = plan_stored(&q, &refs, &grid, 64);
         assert_eq!(p.candidates.len(), Algorithm::ALL.len() + 1);
         assert_eq!(p.algorithm, Algorithm::MapSide, "plan: {}", p.to_json());
-        // Deterministic (second call is also the cache-hit path).
+        // Deterministic.
         assert_eq!(p.to_json(), plan_stored(&q, &refs, &grid, 64).to_json());
         // Map-side never infects the in-memory plan.
         let (a, b, c) = (

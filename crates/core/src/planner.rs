@@ -12,6 +12,8 @@
 //! the same set of tuples), only the cascade's intermediate sizes.
 
 use mwsj_geom::Rect;
+use mwsj_local::planesweep::sweep_join;
+use mwsj_local::LocalRect;
 use mwsj_query::{Query, Triple};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
@@ -19,43 +21,48 @@ use rand::{seq::SliceRandom, SeedableRng};
 /// Default number of rectangles sampled per relation for estimation.
 pub const DEFAULT_SAMPLE: usize = 200;
 
-/// Draws a seeded uniform sample of up to `sample_size` rectangles from
-/// each relation — shared by the cascade-order planner and the cost-based
-/// optimizer ([`crate::optimizer`]), so both see the same statistics for
-/// the same seed.
+/// Draws a seeded uniform sample of up to `sample_size` positions of
+/// each relation (sizes `lens`, one shared RNG) and reads them through
+/// `rect(relation, position)` — shared by the cascade-order planner and
+/// the cost-based optimizer ([`crate::optimizer`], which also samples
+/// stored datasets by storage position), so both see the same statistics.
 pub(crate) fn sample_relations(
-    relations: &[&[Rect]],
+    lens: impl IntoIterator<Item = usize>,
     sample_size: usize,
     seed: u64,
+    rect: impl Fn(usize, usize) -> Rect,
 ) -> Vec<Vec<Rect>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    relations
-        .iter()
-        .map(|rel| {
-            let mut idx: Vec<usize> = (0..rel.len()).collect();
+    lens.into_iter()
+        .enumerate()
+        .map(|(rel, n)| {
+            let mut idx: Vec<usize> = (0..n).collect();
             idx.shuffle(&mut rng);
             idx.truncate(sample_size);
-            idx.into_iter().map(|i| rel[i]).collect()
+            idx.into_iter().map(|i| rect(rel, i)).collect()
         })
         .collect()
 }
 
 /// Estimates the selectivity of one triple on samples of its two
-/// relations: the fraction of sampled pairs satisfying the predicate.
+/// relations: the fraction of sampled pairs satisfying the predicate,
+/// counted exactly in O(s log s + matches). A plane sweep at the
+/// predicate's distance emits every pair within `d` — a superset of the
+/// `ov` and `contains` matches — and each is re-checked by the predicate.
 pub(crate) fn estimate_selectivity(t: &Triple, samples: &[Vec<Rect>]) -> f64 {
     let left = &samples[t.left.index()];
     let right = &samples[t.right.index()];
     if left.is_empty() || right.is_empty() {
         return 0.0;
     }
+    let tagged = |rel: &[Rect]| -> Vec<LocalRect> { rel.iter().copied().zip(0..).collect() };
     let mut hits = 0usize;
-    for a in left {
-        for b in right {
-            if t.predicate.eval(a, b) {
-                hits += 1;
-            }
-        }
-    }
+    sweep_join(
+        &tagged(left),
+        &tagged(right),
+        t.predicate.distance(),
+        |_, _, a, b| hits += usize::from(t.predicate.eval(a, b)),
+    );
     hits as f64 / (left.len() * right.len()) as f64
 }
 
@@ -87,7 +94,8 @@ pub fn optimize_cascade_order(
     seed: u64,
 ) -> Query {
     assert_eq!(relations.len(), query.num_relations());
-    let samples = sample_relations(relations, sample_size, seed);
+    let lens = relations.iter().map(|r| r.len());
+    let samples = sample_relations(lens, sample_size, seed, |r, i| relations[r][i]);
     order_greedily(query, relations, |t| estimate_selectivity(t, &samples))
 }
 
@@ -203,6 +211,7 @@ fn order_greedily(
 mod tests {
     use super::*;
     use crate::reference;
+    use proptest::prelude::*;
     use rand::Rng;
 
     fn relation(n: usize, seed: u64, side: f64) -> Vec<Rect> {
@@ -284,6 +293,63 @@ mod tests {
             reference::in_memory_join(&planned, &[&a, &b, &c]),
             reference::in_memory_join(&q, &[&a, &b, &c])
         );
+    }
+
+    /// The all-pairs count the plane sweep replaced, kept as the oracle.
+    fn all_pairs_selectivity(t: &Triple, samples: &[Vec<Rect>]) -> f64 {
+        let (left, right) = (&samples[t.left.index()], &samples[t.right.index()]);
+        let hits = left
+            .iter()
+            .flat_map(|a| right.iter().filter(move |b| t.predicate.eval(a, b)))
+            .count();
+        if hits == 0 {
+            return 0.0;
+        }
+        hits as f64 / (left.len() * right.len()) as f64
+    }
+
+    /// The sweep estimate equals the all-pairs estimate bit for bit, for
+    /// every predicate kind and both orientations of `contains`.
+    fn assert_sweep_exact(left: Vec<Rect>, right: Vec<Rect>) -> Result<(), TestCaseError> {
+        let q =
+            "A ov B and A ra(0.5) B and A ra(3) B and A ra(25) B and A contains B and B contains A";
+        let samples = vec![left, right];
+        for t in Query::parse(q).unwrap().triples() {
+            let (sweep, oracle) = (
+                estimate_selectivity(t, &samples),
+                all_pairs_selectivity(t, &samples),
+            );
+            prop_assert_eq!(sweep.to_bits(), oracle.to_bits(), "{:?}", t.predicate);
+        }
+        Ok(())
+    }
+
+    /// With `snap`, corners are rounded to integers (on a quarter scale),
+    /// which makes shared edges, equal and zero-width rectangles and gaps
+    /// of exactly `d` common.
+    fn rects(raw: &[(f64, f64, f64, f64)], snap: bool) -> Vec<Rect> {
+        let s = |v: f64| if snap { (v / 4.0).round() } else { v };
+        raw.iter()
+            .map(|&(x, y, l, b)| Rect::new(s(x), s(y), s(l), s(b)))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn prop_sweep_selectivity_is_exact(
+            l in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64, 0.0..15.0f64, 0.0..15.0f64), 0..60),
+            r in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64, 0.0..15.0f64, 0.0..15.0f64), 0..60),
+        ) {
+            assert_sweep_exact(rects(&l, false), rects(&r, false))?;
+            assert_sweep_exact(rects(&l, true), rects(&r, true))?;
+        }
+    }
+
+    #[test]
+    fn sweep_selectivity_is_exact_at_the_optimizer_sample_size() {
+        assert_sweep_exact(relation(600, 31, 30.0), relation(600, 32, 30.0)).unwrap();
+        assert_sweep_exact(relation(600, 33, 120.0), Vec::new()).unwrap();
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! implements those local pieces:
 //!
 //! * [`planesweep`] — the classic 2-way plane-sweep join over two sets of
-//!   rectangles (the local step of the 2-way joins of §5);
+//!   rectangles (the local step of the 2-way joins of §5), the kernel of
+//!   the cost-based optimizer's selectivity estimates;
 //! * [`multiway`] — a backtracking matcher that finds every tuple of local
 //!   rectangles satisfying a multi-way query (the reducer-side join of
 //!   *All-Replicate* and round 2 of *Controlled-Replicate*), plus a

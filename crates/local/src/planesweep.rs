@@ -1,11 +1,12 @@
 //! 2-way plane-sweep rectangle join.
 //!
 //! The local step of the 2-way joins of §5: given the rectangles of two
-//! relations present at one reducer, report every pair within distance `d`
-//! (`d = 0` is the overlap join). The sweep runs along the x axis; an
-//! entry of one relation is checked against the active x-window of the
-//! other. Used both directly by the distributed 2-way joins and as a
-//! baseline in the benches (the multi-way matcher subsumes it).
+//! sets, report every pair within distance `d` (`d = 0` is the overlap
+//! join). The sweep runs along the x axis; an entry of one set is checked
+//! against the active x-window of the other. This is the kernel of the
+//! cost-based optimizer's selectivity estimates (`mwsj_core::planner`
+//! counts the matching pairs of two planning samples with it); the
+//! reducers' multi-way kernel subsumes it for the joins themselves.
 
 use mwsj_geom::{Coord, Rect};
 
@@ -23,47 +24,41 @@ pub fn sweep_join(
     if left.is_empty() || right.is_empty() {
         return;
     }
-    // Events sorted by min_x - the sweep enters a rectangle at min_x and
-    // retires it once the sweep line passes max_x + d.
+    // Events sorted by min_x: the sweep enters a rectangle at min_x and
+    // retires it once its x gap to the sweep line alone exceeds `d` — the
+    // gap computed exactly as `Rect::within_distance` computes it, so
+    // rounding never retires an entry that test would still accept.
     let mut l: Vec<&LocalRect> = left.iter().collect();
     let mut r: Vec<&LocalRect> = right.iter().collect();
     let by_min_x = |a: &&LocalRect, b: &&LocalRect| a.0.min_x().total_cmp(&b.0.min_x());
     l.sort_unstable_by(by_min_x);
     r.sort_unstable_by(by_min_x);
-
-    let mut active_l: Vec<&LocalRect> = Vec::new();
-    let mut active_r: Vec<&LocalRect> = Vec::new();
+    let reaches = |c: &LocalRect, x: Coord| {
+        let gap = (x - c.0.max_x()).max(0.0);
+        gap * gap <= d * d
+    };
+    // `active[0]` holds the entered left entries, `active[1]` the right.
+    let mut active: [Vec<&LocalRect>; 2] = [Vec::new(), Vec::new()];
     let (mut i, mut j) = (0usize, 0usize);
     while i < l.len() || j < r.len() {
-        let next_is_left = match (l.get(i), r.get(j)) {
-            (Some(a), Some(b)) => a.0.min_x() <= b.0.min_x(),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        if next_is_left {
-            let cur = l[i];
-            i += 1;
-            let x = cur.0.min_x();
-            active_r.retain(|c| c.0.max_x() + d >= x);
-            for cand in &active_r {
-                if cur.0.within_distance(&cand.0, d) {
-                    emit(cur.1, cand.1, &cur.0, &cand.0);
-                }
-            }
-            active_l.push(cur);
+        let from_left = j == r.len() || (i < l.len() && l[i].0.min_x() <= r[j].0.min_x());
+        let (events, next) = if from_left {
+            (&l, &mut i)
         } else {
-            let cur = r[j];
-            j += 1;
-            let x = cur.0.min_x();
-            active_l.retain(|c| c.0.max_x() + d >= x);
-            for cand in &active_l {
-                if cand.0.within_distance(&cur.0, d) {
-                    emit(cand.1, cur.1, &cand.0, &cur.0);
-                }
+            (&r, &mut j)
+        };
+        let cur = events[*next];
+        *next += 1;
+        let x = cur.0.min_x();
+        let others = &mut active[usize::from(from_left)];
+        others.retain(|c| reaches(c, x));
+        for &cand in others.iter() {
+            let (a, b) = if from_left { (cur, cand) } else { (cand, cur) };
+            if a.0.within_distance(&b.0, d) {
+                emit(a.1, b.1, &a.0, &b.0);
             }
-            active_r.push(cur);
         }
+        active[usize::from(!from_left)].push(cur);
     }
 }
 

@@ -1503,6 +1503,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::fault::ForcedFault;
+    use std::collections::BTreeMap;
 
     fn engine() -> Engine {
         Engine::new(EngineConfig {
@@ -1639,27 +1640,31 @@ mod tests {
     fn reducer_value_order_deterministic_across_runs() {
         // The (task, emit-sequence) shuffle tiebreak: the value stream of
         // each key group is a pure function of the input, not of racy
-        // chunk-claim order.
-        let runs: Vec<Vec<u32>> = (0..8)
+        // chunk-claim order. That is the whole contract — reducers run
+        // concurrently, so the order *across* groups is not part of it and
+        // each run's values are collected per key.
+        let runs: Vec<BTreeMap<u32, Vec<u32>>> = (0..8)
             .map(|_| {
                 let e = engine();
                 let input: Vec<u32> = (0..500).collect();
-                let seen = Mutex::new(Vec::new());
+                let groups = Mutex::new(BTreeMap::new());
                 let _ = e
                     .run(
                         JobSpec::new("order")
                             .reducers(4)
                             .map(|&x: &u32, emit| emit(x % 7, x))
                             .partition(|&k: &u32, n| k as usize % n)
-                            .reduce(|_: &u32, vs: &[u32], _out: &mut dyn FnMut(())| {
-                                seen.lock().extend_from_slice(vs);
+                            .reduce(|&k: &u32, vs: &[u32], _out: &mut dyn FnMut(())| {
+                                let dup = groups.lock().insert(k, vs.to_vec());
+                                assert!(dup.is_none(), "key {k} reduced twice");
                             }),
                         &input,
                     )
                     .unwrap();
-                seen.into_inner()
+                groups.into_inner()
             })
             .collect();
+        assert_eq!(runs[0].len(), 7);
         for run in &runs[1..] {
             assert_eq!(run, &runs[0]);
         }

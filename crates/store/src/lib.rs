@@ -247,6 +247,8 @@ struct CellMeta {
 pub struct StoredDataset {
     fingerprint: u64,
     record_count: u64,
+    max_extent: (f64, f64),
+    max_diagonal: f64,
     grid: Grid,
     cells: Vec<CellMeta>,
     entries: Vec<u64>,
@@ -480,14 +482,23 @@ impl StoredDataset {
                 "{total_entries} indexed entries for {record_count} records"
             )));
         }
-        Ok(Self {
+        let mut store = Self {
             fingerprint,
             record_count,
+            max_extent: (0.0, 0.0),
+            max_diagonal: 0.0,
             grid,
             cells,
             entries,
             nodes,
-        })
+        };
+        for i in 0..total_entries {
+            let r = store.nth_rect(i);
+            let (l, b) = store.max_extent;
+            store.max_extent = (l.max(r.l()), b.max(r.b()));
+            store.max_diagonal = store.max_diagonal.max(r.diagonal());
+        }
+        Ok(store)
     }
 
     /// The DFS-compatible dataset fingerprint recorded at ingest time.
@@ -543,12 +554,18 @@ impl StoredDataset {
         .expect("validated at open")
     }
 
-    /// Iterates over every `(rect, input_order_id)` in storage order.
-    pub fn iter(&self) -> impl Iterator<Item = (Rect, u32)> + '_ {
-        (0..self.record_count as usize).map(|i| {
-            let base = i * ENTRY_WORDS;
-            (self.nth_rect(i), self.entries[base + 4] as u32)
-        })
+    /// The largest rectangle diagonal in the relation (`d_max` of the
+    /// replication bounds), computed once at open.
+    #[must_use]
+    pub fn max_diagonal(&self) -> f64 {
+        self.max_diagonal
+    }
+
+    /// The largest rectangle length and breadth `(max l, max b)` in the
+    /// relation, computed once at open.
+    #[must_use]
+    pub fn max_extent(&self) -> (f64, f64) {
+        self.max_extent
     }
 
     /// Reconstructs the relation in original input order — the fallback
@@ -639,6 +656,10 @@ mod tests {
         let bytes = StoreBuilder::new(&grid).build(&[]).unwrap();
         let store = StoredDataset::from_bytes(&bytes).unwrap();
         assert_eq!(store.record_count(), 0);
+        assert_eq!(
+            (store.max_diagonal(), store.max_extent()),
+            (0.0, (0.0, 0.0))
+        );
         assert!(store.materialize().is_empty());
         for cell in grid.cells() {
             assert!(store.cell_tree(cell).is_empty());
@@ -676,6 +697,12 @@ mod tests {
             // Ingest -> open preserves the records bit-for-bit...
             prop_assert_eq!(store.record_count(), rects.len() as u64);
             prop_assert_eq!(store.materialize(), rects.clone());
+            // The open-time maxima are the folds over the input relation.
+            let d_max = rects.iter().map(Rect::diagonal).fold(0.0, f64::max);
+            prop_assert_eq!(store.max_diagonal().to_bits(), d_max.to_bits());
+            let l_max = rects.iter().map(Rect::l).fold(0.0, f64::max);
+            let b_max = rects.iter().map(Rect::b).fold(0.0, f64::max);
+            prop_assert_eq!(store.max_extent(), (l_max, b_max));
 
             // ...and the fingerprint is exactly what `Dfs::write` seals
             // for the materialized twin, so the server's result-cache key

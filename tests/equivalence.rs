@@ -564,6 +564,79 @@ fn planner_decisions_are_pinned() {
     assert_eq!(p.shares.as_deref(), Some(&[64, 1][..]), "{}", p.to_json());
 }
 
+const PLAN_Q2_N1000: &str = concat!(
+    r#"{"algorithm":"cascade","reducers":64,"grid":[8,8],"shares":[4,4,4],"candidates":["#,
+    r#"{"algorithm":"cascade","jobs":2,"comm_records":3855.6,"dfs_records":672.6,"local_pairs":0.0,"cost":9873.2},"#,
+    r#"{"algorithm":"crep-l","jobs":2,"comm_records":7696.7,"dfs_records":3000.0,"local_pairs":0.0,"cost":20696.7},"#,
+    r#"{"algorithm":"crep","jobs":2,"comm_records":20331.7,"dfs_records":3000.0,"local_pairs":0.0,"cost":33331.7},"#,
+    r#"{"algorithm":"allrep","jobs":1,"comm_records":60361.7,"dfs_records":0.0,"local_pairs":0.0,"cost":62361.7},"#,
+    r#"{"algorithm":"hypercube","jobs":1,"comm_records":48000.0,"dfs_records":0.0,"local_pairs":8000000.0,"cost":210000.0}]}"#,
+);
+
+const PLAN_Q2_N4000: &str = concat!(
+    r#"{"algorithm":"crep-l","reducers":64,"grid":[8,8],"shares":[4,4,4],"candidates":["#,
+    r#"{"algorithm":"crep-l","jobs":2,"comm_records":30693.3,"dfs_records":12000.0,"local_pairs":0.0,"cost":70693.3},"#,
+    r#"{"algorithm":"crep","jobs":2,"comm_records":75153.3,"dfs_records":12000.0,"local_pairs":0.0,"cost":115153.3},"#,
+    r#"{"algorithm":"cascade","jobs":2,"comm_records":26755.6,"dfs_records":53939.8,"local_pairs":0.0,"cost":192574.8},"#,
+    r#"{"algorithm":"allrep","jobs":1,"comm_records":243053.3,"dfs_records":0.0,"local_pairs":0.0,"cost":245053.3},"#,
+    r#"{"algorithm":"hypercube","jobs":1,"comm_records":192000.0,"dfs_records":0.0,"local_pairs":128000000.0,"cost":2754000.0}]}"#,
+);
+
+const PLAN_RA25_N2000: &str = concat!(
+    r#"{"algorithm":"crep-l","reducers":64,"grid":[8,8],"shares":[4,4,4],"candidates":["#,
+    r#"{"algorithm":"crep-l","jobs":2,"comm_records":18773.3,"dfs_records":6000.0,"local_pairs":0.0,"cost":40773.3},"#,
+    r#"{"algorithm":"crep","jobs":2,"comm_records":86596.7,"dfs_records":6000.0,"local_pairs":0.0,"cost":108596.7},"#,
+    r#"{"algorithm":"allrep","jobs":1,"comm_records":120623.3,"dfs_records":0.0,"local_pairs":0.0,"cost":122623.3},"#,
+    r#"{"algorithm":"cascade","jobs":2,"comm_records":20711.1,"dfs_records":103795.1,"local_pairs":0.0,"cost":336096.3},"#,
+    r#"{"algorithm":"hypercube","jobs":1,"comm_records":96000.0,"dfs_records":0.0,"local_pairs":32000000.0,"cost":738000.0}]}"#,
+);
+
+const PLAN_STORED_3WAY: &str = concat!(
+    r#"{"algorithm":"map-side","reducers":64,"grid":[8,8],"shares":[4,4,4],"candidates":["#,
+    r#"{"algorithm":"map-side","jobs":1,"comm_records":0.0,"dfs_records":0.0,"local_pairs":45455.6,"cost":2909.1},"#,
+    r#"{"algorithm":"crep-l","jobs":2,"comm_records":25043.3,"dfs_records":6000.0,"local_pairs":0.0,"cost":47043.3},"#,
+    r#"{"algorithm":"allrep","jobs":1,"comm_records":125586.7,"dfs_records":0.0,"local_pairs":0.0,"cost":127586.7},"#,
+    r#"{"algorithm":"crep","jobs":2,"comm_records":121136.7,"dfs_records":6000.0,"local_pairs":0.0,"cost":143136.7},"#,
+    r#"{"algorithm":"cascade","jobs":2,"comm_records":9466.7,"dfs_records":72780.7,"local_pairs":0.0,"cost":231808.9},"#,
+    r#"{"algorithm":"hypercube","jobs":1,"comm_records":96000.0,"dfs_records":0.0,"local_pairs":32000000.0,"cost":738000.0}]}"#,
+);
+
+/// Golden `Plan::to_json()` pins: the full candidate table — every
+/// candidate's jobs, communication, DFS and pair estimates and its cost —
+/// not only the chosen algorithm. Any change to sampling, selectivity
+/// estimation or the cost formulas that moves an estimate shows up here.
+#[test]
+fn plan_json_is_pinned() {
+    use mwsj_core::store::{StoreBuilder, StoredDataset};
+
+    let cl = cluster(8);
+    let q2 = Query::parse("R1 ov R2 and R2 ov R3").unwrap();
+    for (n, want) in [(1000usize, PLAN_Q2_N1000), (4000, PLAN_Q2_N4000)] {
+        let r1 = random_relation(n, 10, 30.0);
+        let r2 = random_relation(n, 11, 30.0);
+        let r3 = random_relation(n, 12, 30.0);
+        assert_eq!(cl.plan(&q2, &[&r1, &r2, &r3]).to_json(), want, "q2 n={n}");
+    }
+
+    let q3 = Query::parse("R1 ra(25) R2 and R2 ra(25) R3").unwrap();
+    let r1 = random_relation(2000, 30, 15.0);
+    let r2 = random_relation(2000, 31, 15.0);
+    let r3 = random_relation(2000, 32, 15.0);
+    assert_eq!(cl.plan(&q3, &[&r1, &r2, &r3]).to_json(), PLAN_RA25_N2000);
+
+    let q = Query::parse("R1 ov R2 and R2 ra(40) R3").unwrap();
+    let builder = StoreBuilder::new(cl.grid());
+    let stores: Vec<StoredDataset> = [10u64, 11, 12]
+        .iter()
+        .map(|&seed| {
+            let bytes = builder.build(&random_relation(2000, seed, 30.0)).unwrap();
+            StoredDataset::from_bytes(&bytes).unwrap()
+        })
+        .collect();
+    let refs: Vec<&StoredDataset> = stores.iter().collect();
+    assert_eq!(cl.plan_stored(&q, &refs).to_json(), PLAN_STORED_3WAY);
+}
+
 /// `Algorithm::Auto` must be byte-identical to manually pinning the
 /// algorithm the planner chose — same tuples, same shuffle counters. This
 /// is what lets the server canonicalize its cache key to the concrete
